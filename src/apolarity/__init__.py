@@ -9,8 +9,6 @@ from .exactlinalg import (
     GF_DEFAULT,
     Matrix,
     QQ,
-    matrix_kernel_basis,
-    matrix_rank,
 )
 from .polyring import (
     LinearForm,

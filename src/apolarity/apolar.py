@@ -13,13 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .exactlinalg import (
-    FieldSpec,
-    Matrix,
-    SpanSolver,
-    _echelon_fraction,
-    _echelon_mod_p,
-)
+from .exactlinalg import Matrix, SpanSolver, _echelon, mat_mul_rows
 from .polyring import Polynomial, as_linear_polynomial
 
 
@@ -277,12 +271,6 @@ def model_from_dual(F: Polynomial) -> GradedAlgebraModel:
     )
 
 
-def _rref(rows, field):
-    if field.kind == FieldSpec.PRIME:
-        return _echelon_mod_p(rows, field.modulus, reduced=True)
-    return _echelon_fraction(rows, reduced=True)
-
-
 def model_from_ideal(gens, bound: int) -> GradedAlgebraModel:
     """Model of R/I from homogeneous generators, computed degree by degree.
 
@@ -317,7 +305,7 @@ def model_from_ideal(gens, bound: int) -> GradedAlgebraModel:
                 for mono, c in g.terms.items():
                     vec[ridx[tuple(a + b for a, b in zip(mono, mu))]] = c
                 rows.append(vec)
-        pivot_cols, red = _rref(rows, field) if rows else ([], [])
+        pivot_cols, red = _echelon(rows, field, reduced=True)
         pivset = set(pivot_cols)
         tags = [rmonos[j] for j in range(len(rmonos)) if j not in pivset]
         h_t = len(tags)
@@ -368,6 +356,12 @@ def _increment(mono, pos):
     return mono[:pos] + (mono[pos] + 1,) + mono[pos + 1 :]
 
 
+def _ell_by_pos(model: GradedAlgebraModel, ell):
+    """A linear form as sorted (variable position, coefficient) pairs."""
+    poly = as_linear_polynomial(ell, model.varset, model.field)
+    return sorted((mono.index(1), c) for mono, c in poly.terms.items())
+
+
 def step_matrix_rows(model: GradedAlgebraModel, ell_by_pos, i: int):
     """Raw rows of multiplication by a linear form, degree i -> i+1.
 
@@ -392,30 +386,16 @@ def step_matrix_rows(model: GradedAlgebraModel, ell_by_pos, i: int):
 
 def mult_matrix(model: GradedAlgebraModel, ell, i: int, k: int) -> Matrix:
     """Matrix of multiplication by ell^k from the degree-i piece to the
-    degree-(i+k) piece, in the model bases."""
+    degree-(i+k) piece, in the model bases: k single steps composed."""
     if i < 0 or k < 0:
         raise ValueError("degree and power must be nonnegative")
     if i + k > model.socle_degree + 1:
         raise ValueError(
             f"target degree {i + k} exceeds socle degree {model.socle_degree} + 1"
         )
-    field = model.field
-    h_src, h_tgt = model.h(i), model.h(i + k)
-    ell_poly = as_linear_polynomial(ell, model.varset, field)
-    if k == 0:
-        return Matrix.identity(h_src, field)
-    lk = ell_poly**k
-    zero = field.zero()
-    cols = []
-    for tag in model.basis_tags(i):
-        acc = [zero] * h_tgt
-        if h_tgt:
-            for tau, c in lk.terms.items():
-                gamma = tuple(a + b for a, b in zip(tau, tag))
-                w = model.coords_of_monomial(i + k, gamma)
-                for r, x in enumerate(w):
-                    if x != 0:
-                        acc[r] = field.add(acc[r], field.mul(c, x))
-        cols.append(acc)
-    rows = [[cols[j][r] for j in range(h_src)] for r in range(h_tgt)]
+    field, h_src = model.field, model.h(i)
+    by_pos = _ell_by_pos(model, ell)
+    rows = Matrix.identity(h_src, field).rows
+    for j in range(i, i + k):
+        rows = mat_mul_rows(step_matrix_rows(model, by_pos, j), rows, field, h_src)
     return Matrix(rows, field, ncols=h_src)

@@ -3,14 +3,15 @@
 Subcommands: hf, jordan, jdt, ann, classify, predict, verify, chain.  Input
 is a dual generator (full Perazzo parameters or an explicit polynomial), an
 ideal, and optionally a linear form; output is a versioned result record as
-human-readable text, JSON, or TSV.  Exit codes: 0 success, 1 input error,
-2 mathematical mismatch found by verify.
+human-readable text, JSON, or TSV.  Exit codes: 0 success, 1 input error or
+output pipe closed by the reader, 2 mathematical mismatch found by verify.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -22,12 +23,7 @@ from .apolar import (
     model_from_dual,
     model_from_ideal,
 )
-from .jordan import (
-    Partition,
-    dominance_compare,
-    jordan_degree_type,
-    jordan_type,
-)
+from .jordan import Partition, dominance_compare, rank_profile
 from .perazzo import (
     PerazzoParams,
     a_bounds,
@@ -413,10 +409,10 @@ def _cmd_jordan(args, field, with_jdt):
     ell = _resolve_ell(args, field, varset, params)
     echo = dict(echo)
     echo["ell"] = _ell_echo(ell)
-    ptn = jordan_type(model, ell)
-    payload = {"jordan": {"partition": _partition_dict(ptn)}}
+    profile = rank_profile(model, ell)
+    payload = {"jordan": {"partition": _partition_dict(profile.jordan_type())}}
     if with_jdt:
-        payload["jordan"]["degree_type"] = _jdt_dict(jordan_degree_type(model, ell))
+        payload["jordan"]["degree_type"] = _jdt_dict(profile.jordan_degree_type())
     return 0, echo, payload
 
 
@@ -642,7 +638,14 @@ def main(argv=None) -> int:
     except CliInputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    print(render_record(record, out))
+    try:
+        print(render_record(record, out))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (e.g. `| head`); point stdout at devnull so
+        # the interpreter's flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

@@ -129,118 +129,56 @@ GF_DEFAULT = FieldSpec.prime_field(32003)
 
 
 # ---------------------------------------------------------------------------
-# elimination kernels on raw row lists
+# the elimination kernel on raw row lists
 
 
-def _clear_denominators(rows):
-    """Scale each row by the lcm of its denominators (kernel/rank preserved)."""
-    out = []
-    for row in rows:
-        lcm = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                d = x.denominator
-                from math import gcd
+def _sub_multiple(u, f, v, field: FieldSpec):
+    """u -= f * v in place, visiting only the nonzero entries of v; v may be
+    shorter than u."""
+    p = field.modulus
+    if p:
+        for j, x in enumerate(v):
+            if x:
+                u[j] = (u[j] - f * x) % p
+    else:
+        for j, x in enumerate(v):
+            if x:
+                u[j] -= f * x
 
-                lcm = lcm // gcd(lcm, d) * d
-        out.append([int(x * lcm) for x in row])
-    return out
+
+def _scaled(v, a, field: FieldSpec):
+    p = field.modulus
+    if p:
+        return [x * a % p for x in v]
+    return [x * a for x in v]
 
 
-def _echelon_bareiss(rows):
-    """Fraction-free (Bareiss) forward elimination on integer rows.
+def _echelon(rows, field: FieldSpec, reduced=False):
+    """Gauss-Jordan elimination with first-nonzero pivot selection.
 
-    Returns (pivot_cols, echelon_rows); entries stay integers, intermediate
-    growth is bounded by the Bareiss division step.
+    Entries must be canonical field elements (ints are accepted over the
+    rationals).  Returns (pivot_cols, echelon_rows) with unit pivots; with
+    ``reduced`` entries above pivots are cleared too, giving the unique RREF.
     """
     rows = [list(r) for r in rows]
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     pivot_cols = []
-    prev = 1
-    r = 0
     for c in range(ncols):
+        r = len(pivot_cols)
         if r == nrows:
             break
-        pr = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pr is None:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        for i in range(r + 1, nrows):
-            # the full Bareiss update keeps entries equal to minors, which is
-            # what makes the division exact at the next step
-            ric = rows[i][c]
-            row_i, row_r = rows[i], rows[r]
-            for j in range(c, ncols):
-                row_i[j] = (piv * row_i[j] - ric * row_r[j]) // prev
-        prev = piv
-        pivot_cols.append(c)
-        r += 1
-    return pivot_cols, rows[: len(pivot_cols)]
-
-
-def _echelon_mod_p(rows, p, reduced=False):
-    """Gaussian elimination mod p with first-nonzero pivot selection.
-
-    Returns (pivot_cols, echelon_rows) with unit pivots; with ``reduced``
-    entries above pivots are cleared too (RREF).
-    """
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivot_cols = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if rows[i][c] % p != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        rng = range(nrows) if reduced else range(r + 1, nrows)
-        for i in rng:
-            if i == r:
-                continue
-            f = rows[i][c] % p
-            if f:
-                row_i, row_r = rows[i], rows[r]
-                for j in range(c, ncols):
-                    row_i[j] = (row_i[j] - f * row_r[j]) % p
-        pivot_cols.append(c)
-        r += 1
-    return pivot_cols, rows[: len(pivot_cols)]
-
-
-def _echelon_fraction(rows, reduced=False):
-    """Gaussian elimination over the rationals with unit pivots."""
-    rows = [[x if isinstance(x, Fraction) else Fraction(x) for x in r] for r in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivot_cols = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        rng = range(nrows) if reduced else range(r + 1, nrows)
-        for i in rng:
-            if i == r:
-                continue
+        pivot = _scaled(rows[pr], field.inv(rows[pr][c]), field)
+        rows[pr] = rows[r]
+        rows[r] = pivot
+        for i in range(0 if reduced else r + 1, nrows):
             f = rows[i][c]
-            if f:
-                row_i, row_r = rows[i], rows[r]
-                for j in range(c, ncols):
-                    row_i[j] = row_i[j] - f * row_r[j]
+            if f and i != r:
+                _sub_multiple(rows[i], f, pivot, field)
         pivot_cols.append(c)
-        r += 1
     return pivot_cols, rows[: len(pivot_cols)]
 
 
@@ -248,9 +186,7 @@ def rank_rows(rows, field: FieldSpec, ncols: int | None = None) -> int:
     """Exact rank of a list of row vectors."""
     if not rows or (ncols is not None and ncols == 0):
         return 0
-    if field.kind == FieldSpec.PRIME:
-        return len(_echelon_mod_p(rows, field.modulus)[0])
-    return len(_echelon_bareiss(_clear_denominators(rows))[0])
+    return len(_echelon(rows, field)[0])
 
 
 def mat_mul_rows(a_rows, b_rows, field: FieldSpec, b_ncols: int):
@@ -320,44 +256,23 @@ class Matrix:
         return rank_rows(self.rows, self.field, self.ncols)
 
     def kernel_basis(self):
-        """Basis of the right kernel, one vector per free column.
+        """Basis of the right kernel, one vector per free column, read off the
+        RREF: each vector is 1 at its own free column and 0 at the others.
 
         Vectors are exact: ``M @ v = 0`` holds on the nose.  Free columns are
         visited in ascending order, so the output is deterministic.
         """
         field = self.field
-        if self.ncols == 0:
-            return []
-        if self.nrows == 0:
-            one, zero = field.one(), field.zero()
-            return [[one if i == j else zero for i in range(self.ncols)] for j in range(self.ncols)]
-        if field.kind == FieldSpec.PRIME:
-            p = field.modulus
-            pivot_cols, ech = _echelon_mod_p(self.rows, p, reduced=True)
-            pivset = set(pivot_cols)
-            basis = []
-            for f in range(self.ncols):
-                if f in pivset:
-                    continue
-                v = [0] * self.ncols
-                v[f] = 1
-                for r, c in enumerate(pivot_cols):
-                    v[c] = (-ech[r][f]) % p
-                basis.append(v)
-            return basis
-        # rationals: fraction-free echelon, then exact back-substitution
-        pivot_cols, ech = _echelon_bareiss(_clear_denominators(self.rows))
+        pivot_cols, ech = _echelon(self.rows, field, reduced=True)
         pivset = set(pivot_cols)
         basis = []
         for f in range(self.ncols):
             if f in pivset:
                 continue
-            v = [Fraction(0)] * self.ncols
-            v[f] = Fraction(1)
-            for r in range(len(pivot_cols) - 1, -1, -1):
-                c = pivot_cols[r]
-                s = sum((ech[r][j] * v[j] for j in range(c + 1, self.ncols)), Fraction(0))
-                v[c] = -s / ech[r][c]
+            v = [field.zero()] * self.ncols
+            v[f] = field.one()
+            for c, row in zip(pivot_cols, ech):
+                v[c] = field.neg(row[f])
             basis.append(v)
         return basis
 
@@ -371,16 +286,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.field})"
-
-
-def matrix_rank(m: Matrix) -> int:
-    """Exact rank; invariant under row/column permutation and transposition."""
-    return m.rank()
-
-
-def matrix_kernel_basis(m: Matrix):
-    """Column vectors spanning ker(m); count = cols - rank."""
-    return m.kernel_basis()
 
 
 class SpanSolver:
@@ -405,17 +310,23 @@ class SpanSolver:
         return len(self._rows)
 
     def _reduce(self, vec):
-        f = self.field
         vec = list(vec)
-        coeffs = [f.zero()] * self.rank
+        coeffs = [self.field.zero()] * self.rank
         for j, (pc, row) in enumerate(zip(self._pivots, self._rows)):
             x = vec[pc]
-            if x != 0:
+            if x:
                 coeffs[j] = x
-                for i in range(self.ncols):
-                    if row[i] != 0:
-                        vec[i] = f.sub(vec[i], f.mul(x, row[i]))
+                _sub_multiple(vec, x, row, self.field)
         return vec, coeffs
+
+    def _combine(self, coeffs, scale):
+        """scale * sum_j coeffs[j] * (echelon row j), over the accepted basis."""
+        f = self.field
+        out = [f.zero()] * self.rank
+        for c, tr in zip(coeffs, self._trans):
+            if c:
+                _sub_multiple(out, f.neg(f.mul(scale, c)), tr, f)
+        return out
 
     def express_or_add(self, vec):
         """Returns (added, coords). ``added`` means vec extended the span and
@@ -423,32 +334,15 @@ class SpanSolver:
         the accepted basis (length = rank at call time)."""
         f = self.field
         residue, coeffs = self._reduce(vec)
-        pc = next((i for i, x in enumerate(residue) if x != 0), None)
+        pc = next((i for i, x in enumerate(residue) if x), None)
         if pc is None:
-            out = [f.zero()] * self.rank
-            for j, c in enumerate(coeffs):
-                if c != 0:
-                    tr = self._trans[j]
-                    for s, t in enumerate(tr):
-                        if t != 0:
-                            out[s] = f.add(out[s], f.mul(c, t))
-            return False, out
+            return False, self._combine(coeffs, f.one())
         inv = f.inv(residue[pc])
-        row = [f.mul(inv, x) for x in residue]
-        # transform of the new echelon row over the basis including vec itself
-        tr = [f.zero()] * (self.rank + 1)
-        tr[-1] = inv
-        for j, c in enumerate(coeffs):
-            if c != 0:
-                cj = f.mul(inv, c)
-                for s, t in enumerate(self._trans[j]):
-                    if t != 0:
-                        tr[s] = f.sub(tr[s], f.mul(cj, t))
-        for j in range(len(self._trans)):
-            self._trans[j] = self._trans[j] + [f.zero()]
+        # transform of the new echelon row over the basis including vec
+        # itself; earlier transforms stay shorter, their missing tail is zero
+        self._trans.append(self._combine(coeffs, f.neg(inv)) + [inv])
         self._pivots.append(pc)
-        self._rows.append(row)
-        self._trans.append(tr)
+        self._rows.append(_scaled(residue, inv, f))
         coords = [f.zero()] * self.rank
         coords[-1] = f.one()
         return True, coords
@@ -458,18 +352,11 @@ class SpanSolver:
 
     def coords(self, vec):
         """Coordinates of vec over the accepted basis, or None if outside."""
-        f = self.field
         residue, coeffs = self._reduce(vec)
-        if any(x != 0 for x in residue):
+        if any(residue):
             return None
-        out = [f.zero()] * self.rank
-        for j, c in enumerate(coeffs):
-            if c != 0:
-                for s, t in enumerate(self._trans[j]):
-                    if t != 0:
-                        out[s] = f.add(out[s], f.mul(c, t))
-        return out
+        return self._combine(coeffs, self.field.one())
 
     def contains(self, vec) -> bool:
         residue, _ = self._reduce(vec)
-        return all(x == 0 for x in residue)
+        return not any(residue)

@@ -13,8 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .exactlinalg import Matrix, SpanSolver, mat_mul_rows, rank_rows
-from .polyring import as_linear_polynomial
-from .apolar import GradedAlgebraModel, step_matrix_rows
+from .apolar import GradedAlgebraModel, _ell_by_pos, step_matrix_rows
 
 
 class Partition:
@@ -191,12 +190,7 @@ class _PowerMaps:
 
     def __init__(self, model: GradedAlgebraModel, ell):
         field = model.field
-        ell_poly = as_linear_polynomial(ell, model.varset, field)
-        by_pos = []
-        for mono, c in ell_poly.terms.items():
-            pos = next(i for i, e in enumerate(mono) if e)
-            by_pos.append((pos, c))
-        by_pos.sort()
+        by_pos = _ell_by_pos(model, ell)
         self.model = model
         self.field = field
         d = model.socle_degree
@@ -250,10 +244,7 @@ class _PowerMaps:
         key = (i, p)
         if key not in self._kernels:
             if i + p > d:
-                one, zero = self.field.one(), self.field.zero()
-                self._kernels[key] = [
-                    [one if r == j else zero for r in range(h_i)] for j in range(h_i)
-                ]
+                self._kernels[key] = Matrix.identity(h_i, self.field).rows
             else:
                 self._kernels[key] = Matrix(
                     self._maps[(i, p)], self.field, ncols=h_i

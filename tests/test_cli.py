@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import apolarity
 from apolarity.cli import CliInputError, main, render_record, run_command
 
 
@@ -213,3 +218,19 @@ def test_main_exit_codes(capsys):
     err = capsys.readouterr().err
     assert "error:" in err
     assert main(["nonsense"]) == 1
+
+
+def test_closed_output_pipe_ends_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before anything is written
+    src = str(Path(apolarity.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "apolarity.cli", "hf", "--perazzo", "m=2,d=3"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 1
