@@ -3,9 +3,10 @@
 Two sources: a Macaulay dual generator F (the algebra R/Ann(F), coordinates
 on the contraction images W_t = span{x^alpha o F}) or a list of homogeneous
 ideal generators (coordinates on monomial coset representatives).  Both kinds
-expose the same interface: an h-vector, per-degree basis tags, and a table
-mapping every monomial of R_t to exact coordinates, from which multiplication
-matrices by powers of a linear form are read off.
+expose the same interface: an h-vector, per-degree basis tags, and exact
+coordinates of every monomial of R_t, from which multiplication matrices by
+powers of a linear form are read off.  A dual model stores only the divisors
+of F's terms; every other monomial kills F and has zero coordinates.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .exactlinalg import Matrix, SpanSolver, _echelon, mat_mul_rows
+from .exactlinalg import Matrix, SpanSolver, _echelon, mat_mul_rows, rank_rows
 from .polyring import Polynomial, as_linear_polynomial
 
 
@@ -134,6 +135,21 @@ def _contraction_vector(F: Polynomial, gamma, sidx, zero):
     return vec
 
 
+def _contraction_columns(F: Polynomial):
+    """Per degree t = 0..d: the degree-t divisors gamma of F's terms in
+    canonical order, and each x^gamma o F over the degree-(d-t) divisors (its
+    quotients).  Every other monomial contracts F to zero."""
+    d = F.homogeneous_degree()
+    zero = F.field.zero()
+    divs, level = [None] * (d + 1), set(F.terms)
+    for t in range(d, -1, -1):
+        divs[t] = sorted(level, reverse=True)
+        level = {g[:i] + (e - 1,) + g[i + 1 :] for g in level for i, e in enumerate(g) if e}
+    for t in range(d + 1):
+        sidx = {mn: i for i, mn in enumerate(divs[d - t])}
+        yield divs[t], [_contraction_vector(F, gamma, sidx, zero) for gamma in divs[t]]
+
+
 def catalecticant(F: Polynomial, t: int) -> Matrix:
     """Matrix of the contraction map R_t -> S_{d-t} in the canonical monomial
     bases (rows indexed by S-monomials, columns by R-monomials, both in
@@ -155,11 +171,13 @@ def catalecticant(F: Polynomial, t: int) -> Matrix:
 
 
 def hilbert_function(F: Polynomial) -> HVector:
-    """h-vector of R/Ann(F): catalecticant ranks in every degree."""
+    """h-vector of R/Ann(F): catalecticant ranks in every degree, on the
+    columns of the divisors of F's terms (the other columns are zero)."""
+    if F.side != "s":
+        raise ValueError("the dual generator must live on the divided-power side")
     if F.is_zero():
         raise ValueError("zero dual generator")
-    d = F.homogeneous_degree()
-    return HVector(catalecticant(F, t).rank() for t in range(d + 1))
+    return HVector(rank_rows(cols, F.field) for _, cols in _contraction_columns(F))
 
 
 def annihilator_basis(F: Polynomial, t: int) -> AnnBasis:
@@ -221,7 +239,10 @@ class GradedAlgebraModel:
         return ()
 
     def coords_of_monomial(self, t: int, gamma):
-        return self._coords[t][tuple(gamma)]
+        gamma = tuple(gamma)
+        if sum(gamma) != t or len(gamma) != self.varset.nvars:
+            raise KeyError(f"{gamma} is not a monomial of degree {t}")
+        return self._coords[t].get(gamma, (self.field.zero(),) * self.hvector[t])
 
     def __repr__(self):
         return (
@@ -246,16 +267,13 @@ def model_from_dual(F: Polynomial) -> GradedAlgebraModel:
         raise CharacteristicError(
             f"field characteristic {char} must be zero or exceed the socle degree {d}"
         )
-    varset, field = F.varset, F.field
+    field = F.field
     zero = field.zero()
     basis, coords, hv = [], [], []
-    for t in range(d + 1):
-        smonos = varset.monomials(d - t)
-        sidx = {mn: i for i, mn in enumerate(smonos)}
-        solver = SpanSolver(len(smonos), field)
+    for cands, cols in _contraction_columns(F):
+        solver = SpanSolver(len(cols[0]), field)
         tags, table = [], {}
-        for gamma in varset.monomials(t):
-            vec = _contraction_vector(F, gamma, sidx, zero)
+        for gamma, vec in zip(cands, cols):
             added, cds = solver.express_or_add(vec)
             if added:
                 tags.append(gamma)
@@ -267,7 +285,7 @@ def model_from_dual(F: Polynomial) -> GradedAlgebraModel:
         coords.append(table)
         hv.append(h_t)
     return GradedAlgebraModel(
-        field, varset, "dual", d, HVector(hv), basis, coords, dual_generator=F
+        field, F.varset, "dual", d, HVector(hv), basis, coords, dual_generator=F
     )
 
 
@@ -373,11 +391,12 @@ def step_matrix_rows(model: GradedAlgebraModel, ell_by_pos, i: int):
         return []
     cols = []
     zero = field.zero()
+    table = model._coords[i + 1]
     for tag in model.basis_tags(i):
         acc = [zero] * h_tgt
         for pos, c in ell_by_pos:
-            w = model.coords_of_monomial(i + 1, _increment(tag, pos))
-            for r, x in enumerate(w):
+            # a monomial missing from a dual model's table has zero coordinates
+            for r, x in enumerate(table.get(_increment(tag, pos), ())):
                 if x != 0:
                     acc[r] = field.add(acc[r], field.mul(c, x))
         cols.append(acc)

@@ -111,7 +111,10 @@ def _parse_scalar(text: str, field: FieldSpec):
 
 
 def parse_linear_form_kv(text: str, field: FieldSpec) -> LinearForm:
-    """Key-value syntax: a[2,0]=1,b1=-2 with fraction or integer values."""
+    """Key-value syntax: a[2,0]=1,b1=-2 with fraction or integer values;
+    '0' is the zero form, as ``str(LinearForm())`` writes it."""
+    if text.strip() == "0":
+        return LinearForm()
     a, b = {}, {}
     for chunk in _split_top_level(text):
         if "=" not in chunk:

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from apolarity.exactlinalg import FieldSpec
-from apolarity.polyring import LinearForm, Polynomial, VariableSet, contract
+from apolarity.cli import run_command
+from apolarity.exactlinalg import FieldSpec, rank_rows
+from apolarity.polyring import LinearForm, Polynomial, VariableSet, contract, exponent_tuples
 from apolarity.apolar import (
     CharacteristicError,
     HVector,
@@ -17,7 +18,7 @@ from apolarity.apolar import (
     model_from_ideal,
     mult_matrix,
 )
-from apolarity.perazzo import PerazzoParams, full_perazzo_form
+from apolarity.perazzo import PerazzoParams, full_perazzo_form, perazzo_hf
 from conftest import GF, QQ, brute_span_dim, make_ex24_model
 
 
@@ -76,6 +77,8 @@ def test_hilbert_function_goldens(toy_form):
     assert hilbert_function(F) == (1, 1, 1, 1, 1)
     with pytest.raises(ValueError):
         hilbert_function(Polynomial.zero(vs, "s", GF))
+    with pytest.raises(ValueError):
+        hilbert_function(Polynomial(vs, "r", GF, {(0, 4): 1}))
 
 
 def test_full_perazzo_hf_34():
@@ -260,3 +263,90 @@ def test_rationals_jordan_end_to_end(toy_form):
         assert jordan_type(model, ell) == expected
         jd = jordan_degree_type(model, ell)
         assert strings_degree_type(jordan_strings(model, ell)) == jd
+
+
+def _random_sparse_dual(rng, field):
+    """1-6 random terms: a generic form in 4 variables, or a sub-sum of a
+    full Perazzo form, with random nonzero coefficients."""
+    if rng.randrange(2):
+        vs = VariableSet.generic(["w", "x", "y", "z"])
+        monos = exponent_tuples(4, rng.randrange(0, 5))
+    else:
+        params = PerazzoParams(*rng.choice([(2, 3), (2, 4), (3, 3)]))
+        vs = params.varset()
+        monos = list(full_perazzo_form(params, field).terms)
+    monos = rng.sample(monos, min(rng.randrange(1, 7), len(monos)))
+    terms = {mono: field.normalize(rng.choice([-1, 1]) * rng.randrange(1, 1000)) for mono in monos}
+    return Polynomial(vs, "s", field, terms)
+
+
+def _greedy_tags(mat, monos, field):
+    """Monomials of the first independent columns of a dense catalecticant."""
+    tags, cols = [], []
+    for j, mono in enumerate(monos):
+        col = mat.column(j)
+        if rank_rows(cols + [col], field) > len(cols):
+            cols.append(col)
+            tags.append(mono)
+    return tuple(tags)
+
+
+@pytest.mark.parametrize("field", [QQ, GF], ids=["QQ", "GF32003"])
+def test_sparse_dual_model_matches_dense_oracle(field):
+    # the model stores only divisors of F's terms; every monomial, stored or
+    # not, must still have coordinates that reproduce its contraction
+    rng = random.Random(f"sparse-dual-{field}")
+    for _ in range(20):
+        F = _random_sparse_dual(rng, field)
+        vs, d = F.varset, F.homogeneous_degree()
+        model = model_from_dual(F)
+        assert model.hvector == [catalecticant(F, t).rank() for t in range(d + 1)]
+        assert hilbert_function(F) == model.hvector
+        for t in range(d + 1):
+            monos = vs.monomials(t)
+            tags = model.basis_tags(t)
+            assert tags == _greedy_tags(catalecticant(F, t), monos, field)
+            images = [contract(Polynomial.monomial(vs, "r", field, tag), F) for tag in tags]
+            for gamma in monos:
+                coords = model.coords_of_monomial(t, gamma)
+                assert len(coords) == model.h(t)
+                rhs = Polynomial.zero(vs, "s", field)
+                for c, image in zip(coords, images):
+                    rhs = rhs + image.scale(c)
+                lhs = contract(Polynomial.monomial(vs, "r", field, gamma), F)
+                assert lhs == rhs
+                if lhs.is_zero():
+                    assert coords == (field.zero(),) * model.h(t)
+            wrong = (t + 1,) + (0,) * (vs.nvars - 1)
+            with pytest.raises(KeyError):
+                model.coords_of_monomial(t, wrong)
+
+
+def test_dual_build_never_enumerates_all_monomials(monkeypatch):
+    params = PerazzoParams(3, 5)
+    F = full_perazzo_form(params, GF)
+
+    def refuse(self, degree):
+        raise AssertionError("the dual builder enumerated every monomial")
+
+    monkeypatch.setattr(VariableSet, "monomials", refuse)
+    assert model_from_dual(F).hvector == perazzo_hf(params)
+    assert hilbert_function(F) == perazzo_hf(params)
+
+
+@pytest.mark.parametrize("m,d", [(3, 6), (4, 5), (3, 8)])
+def test_large_perazzo_dual_models(m, d):
+    params = PerazzoParams(m, d)
+    assert model_from_dual(full_perazzo_form(params, GF)).hvector == perazzo_hf(params)
+
+
+def test_jdt_job_at_perazzo_36():
+    code, record, _ = run_command(
+        ["jdt", "--perazzo", "m=3,d=6", "--ell", "b1=1,b2=2,b3=3"]
+    )
+    assert code == 0
+    beads = [0] * 7
+    for length, start, mult in record["payload"]["jordan"]["degree_type"]["pairs"]:
+        for i in range(start, start + length):
+            beads[i] += mult
+    assert beads == list(perazzo_hf(PerazzoParams(3, 6)))

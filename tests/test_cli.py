@@ -5,9 +5,20 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import apolarity
-from apolarity.cli import CliInputError, main, render_record, run_command
+from apolarity.cli import (
+    CliInputError,
+    main,
+    parse_linear_form_kv,
+    parse_polynomial,
+    render_record,
+    run_command,
+)
+from apolarity.exactlinalg import FieldSpec
+from apolarity.perazzo import PerazzoParams
+from apolarity.polyring import LinearForm, Polynomial, VariableSet
 
 
 def run(argv):
@@ -234,3 +245,49 @@ def test_closed_output_pipe_ends_without_traceback():
         os.close(write_end)
     assert proc.stderr == b""
     assert proc.returncode == 1
+
+
+_FIELDS = [FieldSpec.rationals(), FieldSpec.prime_field(32003), FieldSpec.prime_field(7)]
+_GENERIC_NAMES = ["x", "y", "z", "w", "u1", "v2", "tt"]
+
+
+def _scalars(field):
+    if field.characteristic():
+        return st.integers(0, field.modulus - 1)
+    return st.fractions(min_value=-10**6, max_value=10**6, max_denominator=50)
+
+
+@st.composite
+def _polynomials(draw):
+    field = draw(st.sampled_from(_FIELDS))
+    if draw(st.booleans()):
+        vs = PerazzoParams(draw(st.integers(2, 3)), draw(st.integers(3, 4))).varset()
+    else:
+        vs = VariableSet.generic(
+            draw(st.lists(st.sampled_from(_GENERIC_NAMES), min_size=1, max_size=4, unique=True))
+        )
+    monos = st.tuples(*[st.integers(0, 3)] * vs.nvars)
+    terms = draw(st.dictionaries(monos, _scalars(field), max_size=5))
+    return Polynomial(vs, draw(st.sampled_from("rs")), field, terms)
+
+
+@st.composite
+def _linear_forms(draw):
+    field = draw(st.sampled_from(_FIELDS))
+    params = PerazzoParams(draw(st.integers(2, 3)), draw(st.integers(3, 4)))
+    a = draw(st.dictionaries(st.sampled_from(params.x_index_set()), _scalars(field)))
+    b = draw(st.dictionaries(st.integers(1, params.m), _scalars(field)))
+    return field, LinearForm(a, b)
+
+
+@given(_polynomials())
+@settings(max_examples=200, deadline=None)
+def test_polynomial_text_roundtrip(P):
+    assert parse_polynomial(str(P), P.field, varset=P.varset, side=P.side) == P
+
+
+@given(_linear_forms())
+@settings(max_examples=200, deadline=None)
+def test_linear_form_text_roundtrip(field_and_form):
+    field, lf = field_and_form
+    assert parse_linear_form_kv(str(lf), field) == lf
