@@ -198,7 +198,8 @@ class GradedAlgebraModel:
     ``coords_of_monomial(t, gamma)`` gives the coordinate vector of the class
     of x^gamma in the chosen basis of the degree-t piece; basis tags are the
     monomials whose classes form that basis.  Models are immutable once built
-    and safe to share between threads.
+    and safe to share between threads; the multiplication tensor is filled in
+    on first use, and a racing second fill stores an equal tensor.
     """
 
     __slots__ = (
@@ -211,6 +212,7 @@ class GradedAlgebraModel:
         "ideal_generators",
         "_basis",
         "_coords",
+        "_steps",
     )
 
     def __init__(self, field, varset, source, socle_degree, hvector, basis, coords,
@@ -222,6 +224,7 @@ class GradedAlgebraModel:
         self.hvector = hvector
         self._basis = basis
         self._coords = coords
+        self._steps = None  # the multiplication tensor, see _step_tensor
         self.dual_generator = dual_generator
         self.ideal_generators = ideal_generators
 
@@ -370,37 +373,55 @@ def model_from_ideal(gens, bound: int) -> GradedAlgebraModel:
     )
 
 
-def _increment(mono, pos):
-    return mono[:pos] + (mono[pos] + 1,) + mono[pos + 1 :]
-
-
 def _ell_by_pos(model: GradedAlgebraModel, ell):
     """A linear form as sorted (variable position, coefficient) pairs."""
     poly = as_linear_polynomial(ell, model.varset, model.field)
     return sorted((mono.index(1), c) for mono, c in poly.terms.items())
 
 
+def _step_tensor(model: GradedAlgebraModel):
+    """Sparse matrices of x_pos : A_i -> A_{i+1}, as ``tensor[i][pos]`` = the
+    nonzero (row, column, entry) triples, for i = 0..d-1.  Built on the first
+    call and kept on the model."""
+    if model._steps is None:
+        nvars = model.varset.nvars
+        tensor = []
+        for i in range(model.socle_degree):
+            table, tags = model._coords[i + 1], model.basis_tags(i)
+            by_pos = []
+            for pos in range(nvars):
+                entries = []
+                for j, tag in enumerate(tags):
+                    succ = tag[:pos] + (tag[pos] + 1,) + tag[pos + 1 :]
+                    # a monomial missing from a dual model's table has zero coordinates
+                    for r, x in enumerate(table.get(succ, ())):
+                        if x:
+                            entries.append((r, j, x))
+                by_pos.append(entries)
+            tensor.append(by_pos)
+        model._steps = tensor
+    return model._steps
+
+
 def step_matrix_rows(model: GradedAlgebraModel, ell_by_pos, i: int):
-    """Raw rows of multiplication by a linear form, degree i -> i+1.
+    """Raw rows of multiplication by a linear form, degree i -> i+1: the
+    contraction sum_pos c_pos X_pos of the model's multiplication tensor.
 
     ``ell_by_pos`` is a list of (variable position, coefficient) pairs.
     """
-    field = model.field
     h_src, h_tgt = model.h(i), model.h(i + 1)
-    if h_tgt == 0:
-        return []
-    cols = []
-    zero = field.zero()
-    table = model._coords[i + 1]
-    for tag in model.basis_tags(i):
-        acc = [zero] * h_tgt
-        for pos, c in ell_by_pos:
-            # a monomial missing from a dual model's table has zero coordinates
-            for r, x in enumerate(table.get(_increment(tag, pos), ())):
-                if x != 0:
-                    acc[r] = field.add(acc[r], field.mul(c, x))
-        cols.append(acc)
-    return [[cols[j][r] for j in range(h_src)] for r in range(h_tgt)]
+    if not (h_src and h_tgt):
+        return [[] for _ in range(h_tgt)]
+    field = model.field
+    rows = [[field.zero()] * h_src for _ in range(h_tgt)]
+    by_pos = _step_tensor(model)[i]
+    for pos, c in ell_by_pos:
+        for r, j, x in by_pos[pos]:
+            rows[r][j] += c * x
+    p = field.modulus
+    if p:
+        return [[x % p for x in row] for row in rows]
+    return rows
 
 
 def mult_matrix(model: GradedAlgebraModel, ell, i: int, k: int) -> Matrix:

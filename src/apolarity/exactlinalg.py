@@ -97,7 +97,7 @@ class FieldSpec:
         if a == 0:
             raise ZeroDivisionError("inversion of zero field element")
         if self.kind == self.PRIME:
-            return pow(a, self.modulus - 2, self.modulus)
+            return pow(a, -1, self.modulus)
         return Fraction(1) / a
 
     def div(self, a, b):
@@ -190,18 +190,19 @@ def rank_rows(rows, field: FieldSpec, ncols: int | None = None) -> int:
 
 
 def mat_mul_rows(a_rows, b_rows, field: FieldSpec, b_ncols: int):
-    """Row-major product A @ B on raw row lists."""
-    if field.kind == FieldSpec.PRIME:
-        p = field.modulus
-        bt = list(zip(*b_rows)) if b_rows else [()] * b_ncols
-        return [
-            [sum(x * y for x, y in zip(row, col)) % p for col in bt] for row in a_rows
-        ]
-    bt = list(zip(*b_rows)) if b_rows else [()] * b_ncols
+    """Row-major product A @ B on raw row lists: each output row is the
+    combination of B's rows by the nonzero entries of A's row, reduced mod p
+    once at the end over GF(p)."""
+    p = field.modulus
     zero = field.zero()
-    return [
-        [sum((x * y for x, y in zip(row, col)), zero) for col in bt] for row in a_rows
-    ]
+    out = []
+    for arow in a_rows:
+        acc = [zero] * b_ncols
+        for a, brow in zip(arow, b_rows):
+            if a:
+                acc = [u + a * v for u, v in zip(acc, brow)]
+        out.append([u % p for u in acc] if p else acc)
+    return out
 
 
 class Matrix:

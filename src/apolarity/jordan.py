@@ -196,20 +196,19 @@ class _PowerMaps:
         d = model.socle_degree
         self._maps = {}
         steps = [step_matrix_rows(model, by_pos, i) for i in range(d)]
-        self._steps = steps
         for i in range(d):
             rows = steps[i]
             self._maps[(i, 1)] = rows
-            dead = all(x == 0 for row in rows for x in row)
+            dead = not any(map(any, rows))
+            zero_row = [field.zero()] * model.h(i)
             for k in range(2, d - i + 1):
                 if dead:
-                    self._maps[(i, k)] = [
-                        [field.zero()] * model.h(i) for _ in range(model.h(i + k))
-                    ]
+                    # maps are only read, so the zero rows may share one list
+                    self._maps[(i, k)] = [zero_row] * model.h(i + k)
                     continue
                 rows = mat_mul_rows(steps[i + k - 1], rows, field, model.h(i))
                 self._maps[(i, k)] = rows
-                dead = all(x == 0 for row in rows for x in row)
+                dead = not any(map(any, rows))
         self._ranks = {}
         self._kernels = {}
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from apolarity.cli import run_command
-from apolarity.exactlinalg import FieldSpec, rank_rows
+from apolarity.exactlinalg import FieldSpec, mat_mul_rows, rank_rows
 from apolarity.polyring import LinearForm, Polynomial, VariableSet, contract, exponent_tuples
 from apolarity.apolar import (
     CharacteristicError,
@@ -17,6 +17,7 @@ from apolarity.apolar import (
     model_from_dual,
     model_from_ideal,
     mult_matrix,
+    step_matrix_rows,
 )
 from apolarity.perazzo import PerazzoParams, full_perazzo_form, perazzo_hf
 from conftest import GF, QQ, brute_span_dim, make_ex24_model
@@ -350,3 +351,65 @@ def test_jdt_job_at_perazzo_36():
         for i in range(start, start + length):
             beads[i] += mult
     assert beads == list(perazzo_hf(PerazzoParams(3, 6)))
+
+
+GF7 = FieldSpec.prime_field(7)
+
+
+def _tensor_oracle_models(rng, field):
+    """Dual models of Perazzo (2,3) and (3,4) and of random sparse F in 3-4
+    variables, and two ideal models, one with non-monomial relations."""
+    models = [model_from_dual(full_perazzo_form(PerazzoParams(m, d), field))
+              for m, d in [(2, 3), (3, 4)]]
+    for _ in range(4):
+        vs = VariableSet.generic(["w", "x", "y", "z"][: rng.randrange(3, 5)])
+        monos = rng.sample(exponent_tuples(vs.nvars, rng.randrange(2, 5)), rng.randrange(1, 7))
+        F = Polynomial(vs, "s", field, {mono: field.normalize(rng.randrange(1, 7)) for mono in monos})
+        models.append(model_from_dual(F))
+    models.append(make_ex24_model(field))
+    vs = VariableSet.generic(["x", "y", "z"])
+    x, y, z = (Polynomial.variable(vs, "r", field, i) for i in range(3))
+    models.append(model_from_ideal([x**2 - y * z, y**3, z**3, x * y * z + x * z**2], bound=7))
+    return models
+
+
+def _naive_product(a_rows, b_rows, field, b_ncols):
+    out = []
+    for arow in a_rows:
+        row = []
+        for col in range(b_ncols):
+            acc = field.zero()
+            for a, brow in zip(arow, b_rows):
+                acc = field.add(acc, field.mul(a, brow[col]))
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, GF, GF7], ids=["QQ", "GF32003", "GF7"])
+def test_step_tensor_and_products_match_oracles(field):
+    # step_matrix_rows contracts the model's multiplication tensor; the oracle
+    # rebuilds each entry from the coordinates of tag + e_pos
+    rng = random.Random(f"step-tensor-{field}")
+    for model in _tensor_oracle_models(rng, field):
+        nvars = model.varset.nvars
+        for _ in range(3):
+            positions = rng.sample(range(nvars), rng.randrange(1, nvars + 1))
+            by_pos = sorted((pos, field.normalize(rng.randrange(1, 7))) for pos in positions)
+            for i in range(-1, model.socle_degree + 2):
+                expected = [[field.zero()] * model.h(i) for _ in range(model.h(i + 1))]
+                # past the socle the target is zero and holds no coordinates
+                for j, tag in enumerate(model.basis_tags(i) if model.h(i + 1) else ()):
+                    for pos, c in by_pos:
+                        succ = tuple(e + (q == pos) for q, e in enumerate(tag))
+                        for r, x in enumerate(model.coords_of_monomial(i + 1, succ)):
+                            expected[r][j] = field.add(expected[r][j], field.mul(c, x))
+                assert step_matrix_rows(model, by_pos, i) == expected
+    shapes = [(0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0)]
+    shapes += [tuple(rng.randrange(1, 7) for _ in range(3)) for _ in range(20)]
+    for n, k, m in shapes:
+        a = [[field.normalize(rng.randrange(-3, 4)) * rng.randrange(2) for _ in range(k)] for _ in range(n)]
+        b = [[field.normalize(rng.randrange(-3, 4)) * rng.randrange(2) for _ in range(m)] for _ in range(k)]
+        product = mat_mul_rows(a, b, field, m)
+        assert product == _naive_product(a, b, field, m)
+        assert all(type(x) is type(field.zero()) for row in product for x in row)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,19 @@ def test_invert_zero_raises():
         FieldSpec.prime_field(7).inv(0)
     with pytest.raises(ZeroDivisionError):
         FieldSpec.rationals().inv(Fraction(0))
+
+
+def test_prime_inverse_matches_fermat():
+    gf7 = FieldSpec.prime_field(7)
+    for a in range(1, 7):
+        assert gf7.inv(a) == pow(a, 5, 7)
+    gf = FieldSpec.prime_field(32003)
+    rng = random.Random(32003)
+    for a in (rng.randrange(1, 32003) for _ in range(1000)):
+        assert gf.inv(a) == pow(a, 32001, 32003)
+    for field in (gf7, gf):
+        with pytest.raises(ZeroDivisionError):
+            field.inv(0)
 
 
 def test_field_mismatch():

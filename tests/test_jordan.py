@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from apolarity.polyring import LinearForm, Polynomial, VariableSet
-from apolarity.apolar import model_from_dual, model_from_ideal
+from apolarity.apolar import model_from_dual, model_from_ideal, mult_matrix
+from apolarity.perazzo import PerazzoParams, full_perazzo_form
 from apolarity.jordan import (
     JordanDegreeType,
     Partition,
@@ -17,7 +18,7 @@ from apolarity.jordan import (
     rank_profile,
     strings_degree_type,
 )
-from conftest import GF
+from conftest import GF, make_ex24_model
 
 
 def jdt(pairs):
@@ -229,6 +230,52 @@ def test_jordan_sum_and_bead_conservation(toy_model):
         assert ptn.total() == toy_model.dim()
         assert j.partition() == ptn
         assert j.bead_counts() == toy_model.hvector.entries
+
+
+class _RaisingTables:
+    """Stands in for a model's coordinate tables and refuses every access."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"coordinate tables read ({name})")
+
+    def __getitem__(self, key):
+        raise AssertionError("coordinate tables read")
+
+    def __iter__(self):
+        raise AssertionError("coordinate tables read")
+
+    def __len__(self):
+        raise AssertionError("coordinate tables read")
+
+
+def _answers(model, ell):
+    profile = rank_profile(model, ell)
+    d = model.socle_degree
+    return (
+        [profile.r(i, k) for i in range(d + 1) for k in range(d + 2)],
+        jordan_strings(model, ell),
+        [mult_matrix(model, ell, i, k) for i in range(d + 1) for k in range(d + 2 - i)],
+    )
+
+
+def test_multiplication_tensor_is_built_once_per_model():
+    # after the first form, every later form reads only the model's tensor
+    rng = random.Random(29)
+    for build in (
+        lambda: model_from_dual(full_perazzo_form(PerazzoParams(2, 3), GF)),
+        lambda: make_ex24_model(GF),
+    ):
+        model, fresh = build(), build()
+        nv = model.varset.nvars
+        rank_profile(model, Polynomial.variable(model.varset, "r", GF, 0))
+        model._coords = _RaisingTables()
+        for _ in range(5):
+            ell = Polynomial(
+                model.varset, "r", GF,
+                {tuple(int(i == j) for i in range(nv)): rng.randrange(1, 32003)
+                 for j in rng.sample(range(nv), rng.randrange(1, nv + 1))},
+            )
+            assert _answers(model, ell) == _answers(fresh, ell)
 
 
 # -- Lefschetz ----------------------------------------------------------------
