@@ -5,11 +5,15 @@ rationals, integers in ``[0, p)`` over a prime field.  A ``FieldSpec``
 bundles the arithmetic; matrices and solvers carry one and refuse to mix
 scalars from different fields.  Everything is immutable after construction
 and all operations are pure, so values can be shared freely across threads.
+
+Over the rationals the elimination kernel ``_echelon`` works on primitive
+integer rows and builds ``Fraction`` values only for its output.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class FieldMismatchError(ValueError):
@@ -153,14 +157,39 @@ def _scaled(v, a, field: FieldSpec):
     return [x * a for x in v]
 
 
+def _primitive(row):
+    """An integer row proportional to a row of rationals (ints accepted),
+    divided by its content."""
+    den = lcm(*(x.denominator for x in row))
+    row = [x.numerator * (den // x.denominator) for x in row]
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _cross_eliminate(u, f, v, pc):
+    """The primitive integer row proportional to pc*u - f*v, which is zero
+    where v holds its pivot pc and u holds f."""
+    g = gcd(pc, f)
+    a, b = pc // g, f // g
+    w = [a * x - b * y for x, y in zip(u, v)]
+    g = gcd(*w)
+    return [x // g for x in w] if g > 1 else w
+
+
 def _echelon(rows, field: FieldSpec, reduced=False):
     """Gauss-Jordan elimination with first-nonzero pivot selection.
 
     Entries must be canonical field elements (ints are accepted over the
     rationals).  Returns (pivot_cols, echelon_rows) with unit pivots; with
     ``reduced`` entries above pivots are cleared too, giving the unique RREF.
+
+    Over the rationals the rows are eliminated fraction-free as primitive
+    integer rows and scaled to unit-pivot ``Fraction`` rows only at output.
+    Each integer row is a nonzero multiple of the row Fraction elimination
+    would hold, so the pivots and the output are the same.
     """
-    rows = [list(r) for r in rows]
+    p = field.modulus
+    rows = [list(r) for r in rows] if p else [_primitive(r) for r in rows]
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     pivot_cols = []
@@ -171,15 +200,21 @@ def _echelon(rows, field: FieldSpec, reduced=False):
         pr = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pr is None:
             continue
-        pivot = _scaled(rows[pr], field.inv(rows[pr][c]), field)
+        pivot = _scaled(rows[pr], field.inv(rows[pr][c]), field) if p else rows[pr]
         rows[pr] = rows[r]
         rows[r] = pivot
         for i in range(0 if reduced else r + 1, nrows):
             f = rows[i][c]
             if f and i != r:
-                _sub_multiple(rows[i], f, pivot, field)
+                if p:
+                    _sub_multiple(rows[i], f, pivot, field)
+                else:
+                    rows[i] = _cross_eliminate(rows[i], f, pivot, pivot[c])
         pivot_cols.append(c)
-    return pivot_cols, rows[: len(pivot_cols)]
+    ech = rows[: len(pivot_cols)]
+    if not p:
+        ech = [[Fraction(x, row[c]) for x in row] for c, row in zip(pivot_cols, ech)]
+    return pivot_cols, ech
 
 
 def rank_rows(rows, field: FieldSpec, ncols: int | None = None) -> int:

@@ -254,11 +254,12 @@ class _PowerMaps:
         """Image of a degree-i coordinate vector under one multiplication."""
         field = self.field
         rows = self.rows(i, 1)
+        nonzero = [(j, x) for j, x in enumerate(vec) if x]
         if field.kind == field.PRIME:
             p = field.modulus
-            return [sum(a * b for a, b in zip(row, vec)) % p for row in rows]
+            return [sum(row[j] * x for j, x in nonzero) % p for row in rows]
         zero = field.zero()
-        return [sum((a * b for a, b in zip(row, vec)), zero) for row in rows]
+        return [sum((row[j] * x for j, x in nonzero), zero) for row in rows]
 
 
 class RankProfile:

@@ -19,6 +19,7 @@ from apolarity.apolar import (
     mult_matrix,
     step_matrix_rows,
 )
+from apolarity.jordan import _PowerMaps
 from apolarity.perazzo import PerazzoParams, full_perazzo_form, perazzo_hf
 from conftest import GF, QQ, brute_span_dim, make_ex24_model
 
@@ -405,6 +406,21 @@ def test_step_tensor_and_products_match_oracles(field):
                         for r, x in enumerate(model.coords_of_monomial(i + 1, succ)):
                             expected[r][j] = field.add(expected[r][j], field.mul(c, x))
                 assert step_matrix_rows(model, by_pos, i) == expected
+        # one bead step of the string extraction against the dense dot product
+        ell = Polynomial(model.varset, "r", field,
+                         {tuple(int(q == pos) for q in range(nvars)): c for pos, c in by_pos})
+        maps = _PowerMaps(model, ell)
+        for i in range(model.socle_degree + 1):
+            h = model.h(i)
+            vecs = [[field.zero()] * h]
+            vecs += [[field.normalize(rng.randrange(1, 7)) if q == j else field.zero() for q in range(h)]
+                     for j in range(h)]
+            vecs.append([field.normalize(rng.randrange(-3, 4)) * rng.randrange(2) for _ in range(h)])
+            for vec in vecs:
+                dense = _naive_product(maps.rows(i, 1), [[x] for x in vec], field, 1)
+                image = maps.apply_step(i, vec)
+                assert image == [row[0] for row in dense]
+                assert all(type(x) is type(field.zero()) for x in image)
     shapes = [(0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0)]
     shapes += [tuple(rng.randrange(1, 7) for _ in range(3)) for _ in range(20)]
     for n, k, m in shapes:

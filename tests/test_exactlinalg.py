@@ -2,13 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from apolarity.exactlinalg import (
     FieldMismatchError,
     FieldSpec,
     Matrix,
     SpanSolver,
+    _echelon,
 )
 from conftest import brute_span_dim
 
@@ -155,6 +156,58 @@ def test_rank_int_matrix_gfp_matches_rationals(rows):
         gf = FieldSpec.prime_field(p)
         m = Matrix([[x % p for x in r] for r in rows], gf, ncols=4)
         assert m.rank() == q.rank()
+
+
+def _fraction_echelon(rows, reduced):
+    """Textbook Gauss-Jordan over Fractions with the kernel's pivot rule (first
+    nonzero entry at or below the current row): the oracle for the QQ kernel."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    pivot_cols = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivot_cols)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pc = rows[r][c]
+        rows[r] = [x / pc for x in rows[r]]
+        for i in range(len(rows)):
+            if i > r or (reduced and i < r):
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivot_cols.append(c)
+    return pivot_cols, rows[: len(pivot_cols)]
+
+
+_rational_entries = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**30)),
+)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_rational_echelon_matches_fraction_gauss_jordan(data):
+    # the QQ kernel eliminates primitive integer rows; its pivots and unit-
+    # pivot rows must be those of plain Fraction elimination
+    nrows = data.draw(st.integers(0, 5), label="nrows")
+    ncols = data.draw(st.integers(0, 6), label="ncols")
+    rows = data.draw(st.lists(st.lists(_rational_entries, min_size=ncols, max_size=ncols),
+                              min_size=nrows, max_size=nrows), label="rows")
+    zero_rows = data.draw(st.sets(st.integers(0, 4), max_size=2), label="zero rows")
+    zero_cols = data.draw(st.sets(st.integers(0, 5), max_size=2), label="zero cols")
+    negated = data.draw(st.sets(st.integers(0, 4)), label="negated rows")
+    rows = [
+        [0 if i in zero_rows or j in zero_cols else -x if i in negated else x for j, x in enumerate(r)]
+        for i, r in enumerate(rows)
+    ]
+    snapshot = [[(type(x), x) for x in r] for r in rows]
+    for reduced in (False, True):
+        pivot_cols, ech = _echelon(rows, FieldSpec.rationals(), reduced=reduced)
+        assert (pivot_cols, ech) == _fraction_echelon(rows, reduced)
+        assert all(type(x) is Fraction for r in ech for x in r)
+        assert [[(type(x), x) for x in r] for r in rows] == snapshot
 
 
 def test_matmul_and_identity():

@@ -24,6 +24,15 @@ GOLDEN = [
         'ators":["x^2*z","-2*x^3 + x*y*z","x*z^2","-x^3 + y^3","-2*x^2*y + y^2*z"'
         ',"y*z^2","3/4*x*y^2 + z^3"]}},"version":"1"}',
     ),
+    # QQ kernel whose vectors carry non-integral entries
+    (
+        ["ann", "--dual-generator", "2/3*X^4 + 5/7*Y^2*Z^2 - 3*X*Y*Z^2 + 1/2*Z^4",
+         "--field", "q", "--degree", "3"],
+        '{"job":{"command":"ann","dual_generator":"2/3*X^4 - 3*X*Y*Z^2 + 5/7*Y^2*Z'
+        '^2 + 1/2*Z^4","field":"QQ"},"payload":{"annihilator":{"count":7,"degree"'
+        ':3,"generators":["x^2*y","x^2*z","x*y^2","y^3","5/21*x*y*z + y^2*z","9/2'
+        '*x^3 + 5/21*x*z^2 + y*z^2","1/6*x*y*z + z^3"]}},"version":"1"}',
+    ),
     # QQ reduced echelon form in the ideal model
     (
         ["jdt", "--ideal", "x^2 - y*z, y^2 - 2*x*z, z^2", "--ell", "x+2*y-z", "--field", "q"],
@@ -31,6 +40,15 @@ GOLDEN = [
         '":7,"gens":["x^2 - y*z","-2*x*z + y^2","z^2"]}},"payload":{"jordan":{"de'
         'gree_type":{"notation":"4_0,2_1^2","pairs":[[4,0,1],[2,1,2]]},"partition'
         '":{"exponents":"(4,2^2)","parts":[4,2,2]}}},"version":"1"}',
+    ),
+    # QQ reduced echelon form of an ideal with fractional coefficients
+    (
+        ["jdt", "--ideal", "x^2 - 3/2*y*z, y^2 - 2/5*x*z, z^2", "--ell", "x + 1/3*y - z",
+         "--field", "q"],
+        '{"job":{"command":"jdt","ell":"x + 1/3*y - z","field":"QQ","ideal":{"bou'
+        'nd":7,"gens":["x^2 - 3/2*y*z","-2/5*x*z + y^2","z^2"]}},"payload":{"jord'
+        'an":{"degree_type":{"notation":"4_0,2_1^2","pairs":[[4,0,1],[2,1,2]]},"p'
+        'artition":{"exponents":"(4,2^2)","parts":[4,2,2]}}},"version":"1"}',
     ),
     # GF(p) reduced echelon form in the ideal model
     (
