@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .exactlinalg import Matrix, SpanSolver, _echelon, mat_mul_rows, rank_rows
+from .exactlinalg import Matrix, _echelon, mat_mul_rows, rank_rows
 from .polyring import Polynomial, as_linear_polynomial
 
 
@@ -258,7 +258,9 @@ def model_from_dual(F: Polynomial) -> GradedAlgebraModel:
 
     Degree-t coordinates live on W_t = span{x^alpha o F : |alpha| = t}; the
     basis tags are the first monomials (in canonical order) whose contraction
-    images are independent, so dim W_t = HF(t) by Macaulay duality.
+    images are independent, so dim W_t = HF(t) by Macaulay duality.  Both come
+    from one RREF of the matrix whose columns are the images: the tags are its
+    pivot columns, and column j of the RREF holds the coordinates of x^gamma_j.
     """
     if F.side != "s":
         raise ValueError("the dual generator must live on the divided-power side")
@@ -271,22 +273,12 @@ def model_from_dual(F: Polynomial) -> GradedAlgebraModel:
             f"field characteristic {char} must be zero or exceed the socle degree {d}"
         )
     field = F.field
-    zero = field.zero()
     basis, coords, hv = [], [], []
     for cands, cols in _contraction_columns(F):
-        solver = SpanSolver(len(cols[0]), field)
-        tags, table = [], {}
-        for gamma, vec in zip(cands, cols):
-            added, cds = solver.express_or_add(vec)
-            if added:
-                tags.append(gamma)
-            table[gamma] = cds
-        h_t = len(tags)
-        for gamma, cds in table.items():
-            table[gamma] = tuple(cds) + (zero,) * (h_t - len(cds))
-        basis.append(tuple(tags))
-        coords.append(table)
-        hv.append(h_t)
+        pivot_cols, red = _echelon(list(zip(*cols)), field, reduced=True)
+        basis.append(tuple(cands[j] for j in pivot_cols))
+        coords.append(dict(zip(cands, zip(*red))))
+        hv.append(len(pivot_cols))
     return GradedAlgebraModel(
         field, F.varset, "dual", d, HVector(hv), basis, coords, dual_generator=F
     )

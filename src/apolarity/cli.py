@@ -308,6 +308,18 @@ def _load_spec_file(path):
     return doc
 
 
+def _is_int(val) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
+def _spec_value(key, val, kind):
+    """A spec file value, checked to be a JSON string or integer."""
+    if not (_is_int(val) if kind is int else isinstance(val, kind)):
+        expected = "an integer" if kind is int else "a string"
+        raise CliInputError(f"{key}: expected {expected} in the spec, got {json.dumps(val)}")
+    return val
+
+
 def _merge_spec(args):
     """Apply --spec file values wherever the flag was not given."""
     if not args.spec:
@@ -317,18 +329,18 @@ def _merge_spec(args):
                 "partition", "record")
     int_keys = ("bound", "degree", "samples", "seed")
     for key in str_keys + int_keys:
-        if key in doc and getattr(args, key, None) in (None, False):
+        if doc.get(key) is not None and getattr(args, key, None) in (None, False):
             val = doc[key]
             if key == "perazzo" and isinstance(val, dict):
                 val = f"m={val.get('m')},d={val.get('d')}"
             if key == "ideal":
                 if isinstance(val, dict):
                     if "bound" in val and getattr(args, "bound", None) is None:
-                        args.bound = int(val["bound"])
+                        args.bound = _spec_value("bound", val["bound"], int)
                     val = val.get("gens", "")
                 if isinstance(val, list):
-                    val = ", ".join(val)
-            setattr(args, key, val)
+                    val = ", ".join(_spec_value(key, g, str) for g in val)
+            setattr(args, key, _spec_value(key, val, int if key in int_keys else str))
 
 
 def _resolve_source(args, field):
@@ -534,12 +546,13 @@ def _cmd_chain(args, field):
     ptn = None
     if getattr(args, "record", None):
         doc = _load_spec_file(args.record)
-        payload_in = doc.get("payload", {})
-        parts = (
-            payload_in.get("jordan", {}).get("partition", {}).get("parts")
-            or payload_in.get("prediction", {}).get("partition", {}).get("parts")
-        )
-        if parts is None:
+        parts = None
+        for section in ("jordan", "prediction"):
+            node = doc
+            for key in ("payload", section, "partition", "parts"):
+                node = node.get(key) if isinstance(node, dict) else None
+            parts = parts or node
+        if not isinstance(parts, list) or not all(map(_is_int, parts)):
             raise CliInputError("record: no partition found in the result record")
         ptn = Partition(parts)
         echo["record"] = args.record

@@ -2,9 +2,9 @@
 
 Field elements are plain Python values: ``fractions.Fraction`` over the
 rationals, integers in ``[0, p)`` over a prime field.  A ``FieldSpec``
-bundles the arithmetic; matrices and solvers carry one and refuse to mix
-scalars from different fields.  Everything is immutable after construction
-and all operations are pure, so values can be shared freely across threads.
+bundles the arithmetic; matrices carry one and refuse to mix scalars from
+different fields.  Everything is immutable after construction and all
+operations are pure, so values can be shared freely across threads.
 
 Over the rationals the elimination kernel ``_echelon`` works on primitive
 integer rows and builds ``Fraction`` values only for its output.
@@ -137,8 +137,7 @@ GF_DEFAULT = FieldSpec.prime_field(32003)
 
 
 def _sub_multiple(u, f, v, field: FieldSpec):
-    """u -= f * v in place, visiting only the nonzero entries of v; v may be
-    shorter than u."""
+    """u -= f * v in place, visiting only the nonzero entries of v."""
     p = field.modulus
     if p:
         for j, x in enumerate(v):
@@ -323,76 +322,3 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.field})"
 
-
-class SpanSolver:
-    """Incremental row span with coordinate recovery in the accepted basis.
-
-    ``express_or_add`` feeds candidate vectors in order; independent ones are
-    adopted as basis vectors (first-independent-vector pivoting), dependent
-    ones come back as exact coordinates over the vectors adopted so far.
-    Coordinates computed mid-stream stay valid against the final basis, since
-    later basis vectors never enter earlier reductions.
-    """
-
-    def __init__(self, ncols: int, field: FieldSpec):
-        self.ncols = ncols
-        self.field = field
-        self._pivots = []  # pivot column per echelon row
-        self._rows = []  # echelon rows (unit pivots)
-        self._trans = []  # echelon row = sum(trans[j][s] * basis[s])
-
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
-
-    def _reduce(self, vec):
-        vec = list(vec)
-        coeffs = [self.field.zero()] * self.rank
-        for j, (pc, row) in enumerate(zip(self._pivots, self._rows)):
-            x = vec[pc]
-            if x:
-                coeffs[j] = x
-                _sub_multiple(vec, x, row, self.field)
-        return vec, coeffs
-
-    def _combine(self, coeffs, scale):
-        """scale * sum_j coeffs[j] * (echelon row j), over the accepted basis."""
-        f = self.field
-        out = [f.zero()] * self.rank
-        for c, tr in zip(coeffs, self._trans):
-            if c:
-                _sub_multiple(out, f.neg(f.mul(scale, c)), tr, f)
-        return out
-
-    def express_or_add(self, vec):
-        """Returns (added, coords). ``added`` means vec extended the span and
-        its coordinate vector is a fresh unit; otherwise coords express vec in
-        the accepted basis (length = rank at call time)."""
-        f = self.field
-        residue, coeffs = self._reduce(vec)
-        pc = next((i for i, x in enumerate(residue) if x), None)
-        if pc is None:
-            return False, self._combine(coeffs, f.one())
-        inv = f.inv(residue[pc])
-        # transform of the new echelon row over the basis including vec
-        # itself; earlier transforms stay shorter, their missing tail is zero
-        self._trans.append(self._combine(coeffs, f.neg(inv)) + [inv])
-        self._pivots.append(pc)
-        self._rows.append(_scaled(residue, inv, f))
-        coords = [f.zero()] * self.rank
-        coords[-1] = f.one()
-        return True, coords
-
-    def add(self, vec) -> bool:
-        return self.express_or_add(vec)[0]
-
-    def coords(self, vec):
-        """Coordinates of vec over the accepted basis, or None if outside."""
-        residue, coeffs = self._reduce(vec)
-        if any(residue):
-            return None
-        return self._combine(coeffs, self.field.one())
-
-    def contains(self, vec) -> bool:
-        residue, _ = self._reduce(vec)
-        return not any(residue)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .exactlinalg import Matrix, SpanSolver, mat_mul_rows, rank_rows
+from .exactlinalg import Matrix, _echelon, mat_mul_rows, rank_rows
 from .apolar import GradedAlgebraModel, _ell_by_pos, step_matrix_rows
 
 
@@ -358,55 +358,45 @@ def jordan_strings(model: GradedAlgebraModel, ell):
     string of length p satisfies ell^p z = 0 exactly.
     """
     pm = _PowerMaps(model, ell)
-    field = model.field
     d = model.socle_degree
     strings = []
     for p in range(d + 1, 0, -1):
         for i in range(d + 1):
-            if model.h(i) == 0:
-                continue
             cands = pm.kernel(i, p)
             if not cands:
                 continue
-            tracker = SpanSolver(model.h(i), field)
-            for w in pm.kernel(i, p - 1):
-                tracker.add(w)
+            span = pm.kernel(i, p - 1)
             if i > 0:
-                for w in pm.kernel(i - 1, p + 1):
-                    tracker.add(pm.apply_step(i - 1, w))
-            for v in cands:
-                if tracker.rank == len(cands):
-                    break
-                if tracker.add(v):
-                    beads = [v]
-                    cur = v
+                # a new list, not +=: the kernel bases are memoized
+                span = span + [pm.apply_step(i - 1, w) for w in pm.kernel(i - 1, p + 1)]
+            # the heads are the pivot columns of [span | cands] among cands
+            pivot_cols, _ = _echelon(list(zip(*span, *cands)), model.field)
+            for c in pivot_cols:
+                if c >= len(span):
+                    beads = [cands[c - len(span)]]
                     for j in range(p - 1):
-                        cur = pm.apply_step(i + j, cur)
-                        beads.append(cur)
+                        beads.append(pm.apply_step(i + j, beads[-1]))
                     strings.append(JordanString(i, beads))
     _check_strings(model, pm, strings)
     return strings
 
 
 def _check_strings(model, pm, strings):
-    field = model.field
     d = model.socle_degree
-    per_degree = {t: SpanSolver(model.h(t), field) for t in range(d + 1)}
-    counts = Counter()
+    per_degree = {t: [] for t in range(d + 1)}
     for s in strings:
         for j, bead in enumerate(s.beads):
-            t = s.start_degree + j
-            counts[t] += 1
-            if not per_degree[t].add(bead):
-                raise RuntimeError("extracted beads are not independent")
+            per_degree[s.start_degree + j].append(bead)
         # the string must terminate: one more step lands on zero
         tail = s.start_degree + len(s.beads) - 1
         if tail < d:
             img = pm.apply_step(tail, s.beads[-1])
             if any(x != 0 for x in img):
                 raise RuntimeError("string does not terminate: ell^p z != 0")
-    for t in range(d + 1):
-        if counts[t] != model.h(t):
+    for t, beads in per_degree.items():
+        if rank_rows(beads, model.field) != len(beads):
+            raise RuntimeError("extracted beads are not independent")
+        if len(beads) != model.h(t):
             raise RuntimeError("extracted beads do not fill the algebra")
 
 

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -244,7 +245,7 @@ def test_rationals_model_matches_prime_field(toy_form):
 
 
 def test_rationals_jordan_end_to_end(toy_form):
-    # exercise the fraction-free kernel and Fraction span paths
+    # exercise the fraction-free kernel on a QQ dual model and its strings
     from apolarity.jordan import (
         jordan_degree_type,
         jordan_strings,
@@ -293,6 +294,13 @@ def _greedy_tags(mat, monos, field):
     return tuple(tags)
 
 
+def _is_canonical(x, field):
+    """A Fraction over QQ, an int in [0, p) over GF(p)."""
+    if field.modulus:
+        return type(x) is int and 0 <= x < field.modulus
+    return type(x) is Fraction
+
+
 @pytest.mark.parametrize("field", [QQ, GF], ids=["QQ", "GF32003"])
 def test_sparse_dual_model_matches_dense_oracle(field):
     # the model stores only divisors of F's terms; every monomial, stored or
@@ -312,6 +320,7 @@ def test_sparse_dual_model_matches_dense_oracle(field):
             for gamma in monos:
                 coords = model.coords_of_monomial(t, gamma)
                 assert len(coords) == model.h(t)
+                assert all(_is_canonical(c, field) for c in coords)
                 rhs = Polynomial.zero(vs, "s", field)
                 for c, image in zip(coords, images):
                     rhs = rhs + image.scale(c)

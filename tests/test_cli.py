@@ -186,6 +186,22 @@ def test_spec_file(tmp_path):
     assert record["payload"]["jordan"]["partition"]["parts"] == [3, 3, 2, 2, 1, 1]
 
 
+@pytest.mark.parametrize("argv,doc,field", [
+    (["jdt", "--ell", "x+y"], {"ideal": {"gens": ["x^2", "y^2"], "bound": "abc"}}, "bound"),
+    (["verify"], {"perazzo": "m=2,d=3", "samples": "abc"}, "samples"),
+    (["verify"], {"perazzo": "m=2,d=3", "samples": True}, "samples"),
+    (["classify"], {"perazzo": "m=2,d=3", "ell": 5}, "ell"),
+    (["ann"], {"dual_generator": "X^2*Y", "degree": "2"}, "degree"),
+    (["chain", "--perazzo", "m=2,d=3", "--record"], {"payload": []}, "record"),
+], ids=["ideal-bound-str", "samples-str", "samples-bool", "ell-int", "degree-str", "payload-list"])
+def test_json_values_of_the_wrong_type_are_input_errors(tmp_path, capsys, argv, doc, field):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    argv = argv + [str(path)] if argv[-1] == "--record" else argv + ["--spec", str(path)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+
 def _expect_input_error(argv, fragment):
     with pytest.raises(CliInputError) as err:
         run_command(argv)

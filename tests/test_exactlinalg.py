@@ -8,7 +8,6 @@ from apolarity.exactlinalg import (
     FieldMismatchError,
     FieldSpec,
     Matrix,
-    SpanSolver,
     _echelon,
 )
 from conftest import brute_span_dim
@@ -219,27 +218,3 @@ def test_matmul_and_identity():
     assert ab.rows == [[4, 6], [1, 3]]
     with pytest.raises(ValueError):
         a @ a
-
-
-def test_span_solver_coordinates():
-    gf = FieldSpec.prime_field(7)
-    solver = SpanSolver(3, gf)
-    added, coords = solver.express_or_add([1, 2, 3])
-    assert added and coords == [1]
-    added, coords = solver.express_or_add([2, 4, 6])
-    assert not added and coords == [2]
-    added, coords = solver.express_or_add([0, 1, 1])
-    assert added and coords == [0, 1]
-    # 2*(1,2,3) + 3*(0,1,1) = (2, 7, 9) = (2, 0, 2) mod 7
-    coords = solver.coords([2, 0, 2])
-    assert coords == [2, 3]
-    assert solver.coords([1, 0, 0]) is None
-    assert solver.rank == 2
-
-
-def test_span_solver_rationals():
-    q = FieldSpec.rationals()
-    solver = SpanSolver(2, q)
-    assert solver.add([Fraction(1, 2), Fraction(1, 3)])
-    assert not solver.add([Fraction(3, 2), Fraction(1)])
-    assert solver.coords([Fraction(5, 2), Fraction(5, 3)]) == [Fraction(5)]

@@ -1,7 +1,8 @@
 """Byte-exact JSON records of CLI jobs that reach every caller of the exact
-elimination kernel: kernels and reduced echelon forms over QQ and GF(p), the
-incremental span solver, and ranks of multiplication maps.  A change in pivot
-choice or kernel normal form shows up here as a changed string."""
+elimination kernel: kernels and reduced echelon forms over QQ and GF(p), dual
+models read off the RREF of contraction images, and ranks of multiplication
+maps.  A change in pivot choice or kernel normal form shows up here as a
+changed string."""
 
 import pytest
 
@@ -67,7 +68,15 @@ GOLDEN = [
         '002*x[2,0]*y1 + x[1,1]*y2","x[0,2]^2","x[0,2]*y1","32002*x[1,1]*y1 + x[0'
         ',2]*y2"]}},"version":"1"}',
     ),
-    # GF(p) span solver in the dual model, then ranks of power maps
+    # QQ dual model, then ranks of power maps
+    (
+        ["jdt", "--dual-generator", DUAL_F, "--field", "q", "--ell", "x + 2*y - 3*z"],
+        '{"job":{"command":"jdt","dual_generator":"X^3*Y + 2*X*Y^2*Z + Y^4 - 3/2*'
+        'Z^4","ell":"x + 2*y - 3*z","field":"QQ"},"payload":{"jordan":{"degree_t'
+        'ype":{"notation":"5_0,3_1^2,1_2^2","pairs":[[5,0,1],[3,1,2],[1,2,2]]},"p'
+        'artition":{"exponents":"(5,3^2,1^2)","parts":[5,3,3,1,1]}}},"version":"1"}',
+    ),
+    # GF(p) dual model, then ranks of power maps
     (
         ["jdt", "--perazzo", "m=3,d=4",
          "--ell", "a[3,0,0]=4191,a[2,1,0]=19531,b1=17827,b2=9636"],

@@ -3,12 +3,16 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from apolarity.exactlinalg import rank_rows
 from apolarity.polyring import LinearForm, Polynomial, VariableSet
 from apolarity.apolar import model_from_dual, model_from_ideal, mult_matrix
 from apolarity.perazzo import PerazzoParams, full_perazzo_form
 from apolarity.jordan import (
     JordanDegreeType,
+    JordanString,
     Partition,
+    _check_strings,
+    _PowerMaps,
     conjugate_partition,
     dominance_compare,
     jordan_degree_type,
@@ -18,7 +22,7 @@ from apolarity.jordan import (
     rank_profile,
     strings_degree_type,
 )
-from conftest import GF, make_ex24_model
+from conftest import GF, QQ, make_ex24_model
 
 
 def jdt(pairs):
@@ -230,6 +234,66 @@ def test_jordan_sum_and_bead_conservation(toy_model):
         assert ptn.total() == toy_model.dim()
         assert j.partition() == ptn
         assert j.bead_counts() == toy_model.hvector.entries
+
+
+def _random_ell(rng, model):
+    """A random nonzero linear form; about half its coefficients are zero."""
+    field, nv = model.field, model.varset.nvars
+    while True:
+        coeffs = [field.normalize(rng.randrange(-5, 6)) if rng.randrange(2) else field.zero()
+                  for _ in range(nv)]
+        if any(coeffs):
+            return Polynomial(
+                model.varset, "r", field,
+                {tuple(1 if i == j else 0 for i in range(nv)): c
+                 for j, c in enumerate(coeffs) if c},
+            )
+
+
+def test_string_heads_are_first_independent_candidates(toy_model, ex24_model):
+    # heads of length-p strings in degree i: the first vectors of the
+    # ker(ell^p) basis that raise the rank of ker(ell^(p-1)) + ell*ker(ell^(p+1))
+    # and of the heads taken before them
+    rng = random.Random(29)
+    qq_model = model_from_dual(full_perazzo_form(PerazzoParams(2, 3), QQ))
+    for model in (toy_model, ex24_model, qq_model):
+        d = model.socle_degree
+        for _ in range(12):
+            ell = _random_ell(rng, model)
+            pm = _PowerMaps(model, ell)
+            expected = []
+            for p in range(d + 1, 0, -1):
+                for i in range(d + 1):
+                    span = list(pm.kernel(i, p - 1))
+                    if i > 0:
+                        span += [pm.apply_step(i - 1, w) for w in pm.kernel(i - 1, p + 1)]
+                    for v in pm.kernel(i, p):
+                        if rank_rows(span + [v], model.field) > rank_rows(span, model.field):
+                            span.append(v)
+                            expected.append((p, i, v))
+            strings = jordan_strings(model, ell)
+            assert [(s.length, s.start_degree, s.beads[0]) for s in strings] == expected
+
+
+def test_check_strings_rejects_altered_families(toy_model):
+    ell = LinearForm(a={(2, 0): 1}, b={1: 1})
+    pm = _PowerMaps(toy_model, ell)
+    strings = jordan_strings(toy_model, ell)
+    _check_strings(toy_model, pm, strings)
+    long = max(strings, key=lambda s: s.length)
+    assert long.length == 4
+    rest = [s for s in strings if s is not long]
+    # repeated beads: the longest string twice
+    with pytest.raises(RuntimeError, match="not independent"):
+        _check_strings(toy_model, pm, strings + [long])
+    # the head alone as a string, the rest as another: the beads still span,
+    # but the head's string runs on past its end, ell*z != 0
+    split = [JordanString(0, long.beads[:1]), JordanString(1, long.beads[1:])]
+    with pytest.raises(RuntimeError, match="does not terminate"):
+        _check_strings(toy_model, pm, rest + split)
+    # a dropped string
+    with pytest.raises(RuntimeError, match="do not fill"):
+        _check_strings(toy_model, pm, rest)
 
 
 class _RaisingTables:
